@@ -11,9 +11,9 @@
 // whole point: PR 7-9 paid kernel launch and PCIe latency per query,
 // the overhead real inference servers remove first.
 //
-// BatchCap <= 1 disables batching entirely: Simulate keeps the
-// per-query paths and their output stays byte-identical to the
-// pre-batching simulator (the -serve-batch 1 acceptance gate).
+// BatchCap <= 1 disables batching entirely: Simulate services every
+// query alone and its output stays byte-identical to the pre-batching
+// simulator (the -serve-batch 1 acceptance gate).
 
 package serve
 

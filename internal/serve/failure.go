@@ -1,9 +1,8 @@
-// The resilient serving simulator: an event-driven twin of the fast
-// path in serve.go that adds replica failures, client retries/hedging,
-// deadlines, and admission control. Simulate switches here whenever any
-// of those knobs is engaged (Options.Resilient); with all of them off
-// the fast path runs instead and stays bit-identical to the
-// pre-resilience simulator.
+// The serving simulator: one event loop plays every run, with or
+// without replica failures, client retries/hedging, deadlines,
+// admission control, and request batching. With all of those off the
+// heap stays empty and each arrival is routed, admitted, planned, and
+// priced in arrival order.
 //
 // Determinism. The virtual clock advances through a single event heap
 // ordered by (time, kind, insertion sequence): kills and heals sort
@@ -12,8 +11,14 @@
 // dispatch — a worker's outage schedule is static, so an attempt whose
 // completion lands past the worker's next kill is doomed the moment it
 // enqueues and fails when the kill event flushes the queue. No PRNG is
-// consulted anywhere outside the router and the request stream, both of
-// which draw in the same order as the fast path.
+// consulted anywhere outside the router and the request stream, and
+// both draw in arrival order.
+//
+// Memory. Query records are pooled and reference-counted (query.refs);
+// a record retires into the report the moment nothing can change its
+// outcome, so a run holds only the queries in flight. The latency
+// digests sort before they sum, so retirement order cannot change a bit
+// of the report.
 //
 // Client knowledge. The frontend reacts only to what a real client
 // could observe: a delivered response, a failure notification when a
@@ -25,16 +30,22 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/metrics"
 )
 
-// query is one client request's lifecycle across all its attempts.
+// query is one client request's lifecycle across all its attempts: a
+// pooled record, live from its arrival until refs drops to zero.
 type query struct {
 	at   float64
 	ids  [][]int64
 	keys []int64
+	// refs counts the holders that can still change the outcome: the
+	// arrival being dispatched, heap timers (retry, hedge), wk.doomed
+	// entries, and wk.pending entries.
+	refs int
 	// bestDone is the earliest response delivery time across successful
 	// attempts (+Inf until one settles); winner the replica that
 	// delivered it; winnerDeg whether that winning attempt ran on the
@@ -100,11 +111,14 @@ type resilientSim struct {
 	degLat    metrics.Series
 	events    []event
 	seq       int64
-	queries   []*query
 	totalIDs  int
 	shedDepth int
 	good      int64
 	maxDone   float64
+	// free holds retired query records for reuse; live counts records
+	// taken and not yet retired.
+	free []*query
+	live int
 	// batchIDs is the reusable per-table concatenation buffer the
 	// batched path plans through (nil when batching is off).
 	batchIDs [][]int64
@@ -114,6 +128,9 @@ type resilientSim struct {
 }
 
 func (s *resilientSim) push(e event) {
+	if e.q != nil {
+		e.q.refs++
+	}
 	e.seq = s.seq
 	s.seq++
 	s.events = append(s.events, e)
@@ -152,9 +169,10 @@ func (s *resilientSim) pop() event {
 	return top
 }
 
-// simulateResilient plays the arrival vector with the failure model and
-// client resilience engaged.
-func (f *Fleet) simulateResilient(arrivals []float64) (*Report, error) {
+// Simulate plays an ascending arrival-time vector through the fleet and
+// returns the report. Exposed separately from Run so tests can inject
+// hand-built arrival vectors.
+func (f *Fleet) Simulate(arrivals []float64) (*Report, error) {
 	s := &resilientSim{
 		f: f,
 		rep: &Report{
@@ -209,18 +227,14 @@ func (f *Fleet) simulateResilient(arrivals []float64) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
+			if e.q != nil {
+				s.release(e.q)
+			}
 			continue
 		}
 		at := arrivals[i]
 		i++
-		f.nextRequest()
-		q := &query{at: at, bestDone: math.Inf(1), winner: -1}
-		q.keys = append([]int64(nil), f.reqKeys...)
-		q.ids = make([][]int64, len(f.reqIDs))
-		for t := range f.reqIDs {
-			q.ids[t] = append([]int64(nil), f.reqIDs[t]...)
-		}
-		s.queries = append(s.queries, q)
+		q := s.take(at)
 		if err := s.dispatch(q, at, modeFirst); err != nil {
 			return nil, err
 		}
@@ -231,12 +245,69 @@ func (f *Fleet) simulateResilient(arrivals []float64) (*Report, error) {
 				s.push(event{t: ht, kind: evHedge, q: q})
 			}
 		}
+		s.release(q)
 	}
 	return s.finish(arrivals)
 }
 
+// take returns a fresh query record arriving at at, reused from the free
+// list when one is there, with the next request's IDs drawn into it. The
+// caller holds the record's first reference.
+func (s *resilientSim) take(at float64) *query {
+	var q *query
+	if n := len(s.free); n > 0 {
+		q = s.free[n-1]
+		s.free = s.free[:n-1]
+		*q = query{ids: q.ids, keys: q.keys, tried: q.tried[:0]}
+	} else {
+		nt, l := s.f.cfg.NumTables, s.f.cfg.Lookups
+		buf := make([]int64, nt*l)
+		q = &query{ids: make([][]int64, nt), keys: make([]int64, 0, nt*l)}
+		for t := range q.ids {
+			q.ids[t] = buf[t*l : (t+1)*l : (t+1)*l]
+		}
+	}
+	q.at, q.bestDone, q.winner, q.refs = at, math.Inf(1), -1, 1
+	s.f.nextRequest(q)
+	s.live++
+	return q
+}
+
+// release drops one reference to q. The last one retires it: the outcome
+// is final, so the query is classified (conservation-exact) and its
+// record goes back to the free list.
+func (s *resilientSim) release(q *query) {
+	q.refs--
+	if q.refs > 0 {
+		return
+	}
+	switch {
+	case q.resolved:
+		// Already counted as Shed or Drops.
+	case math.IsInf(q.bestDone, 1):
+		s.rep.TimedOut++
+	default:
+		s.rep.Served++
+		s.f.workers[q.winner].served++
+		l := q.bestDone - q.at
+		if q.winnerDeg {
+			s.degLat.Add(l)
+		} else {
+			s.lat.Add(l)
+		}
+		if d := s.f.cfg.Deadline; d == 0 || l <= d {
+			s.good++
+		}
+		if q.bestDone > s.maxDone {
+			s.maxDone = q.bestDone
+		}
+	}
+	s.live--
+	s.free = append(s.free, q)
+}
+
 // linkHop prices the frontend-to-worker hop (IDs up, score back) and
-// books the routing-link counters, mirroring the fast path.
+// books the routing-link counters.
 func (s *resilientSim) linkHop(wk *worker) (linkUp, linkDown float64) {
 	f := s.f
 	if f.cfg.Topology != nil && wk.node != 0 {
@@ -266,6 +337,7 @@ func (s *resilientSim) settle(q *query, wk *worker, t, done, linkDown float64, d
 			q.winnerDeg = degraded
 		}
 	} else {
+		q.refs++
 		wk.doomed = append(wk.doomed, q)
 	}
 }
@@ -374,6 +446,7 @@ func (s *resilientSim) enqueueBatch(q *query, wk *worker, t float64) {
 	linkUp, linkDown := s.linkHop(wk)
 	s.f.router.note(wk.id, q.keys)
 	q.tried = append(q.tried, wk.id)
+	q.refs++
 	wk.pending = append(wk.pending, pendingReq{q: q, enq: t + linkUp, linkDown: linkDown})
 	if d := len(wk.comp) - wk.head + len(wk.pending); d > wk.peakDepth {
 		wk.peakDepth = d
@@ -515,6 +588,7 @@ func (s *resilientSim) launchBatch(wk *worker, t float64) error {
 	}
 	for _, p := range members {
 		s.settle(p.q, wk, t, done, p.linkDown, false)
+		s.release(p.q)
 	}
 	wk.pending = append(wk.pending[:0], wk.pending[n:]...)
 	return nil
@@ -617,6 +691,7 @@ func (s *resilientSim) kill(w int, t float64) {
 	wk.doomed = nil
 	for _, q := range doomed {
 		s.attemptFailed(q, t)
+		s.release(q)
 	}
 	// A kill mid-batch flushes the whole batch: members still waiting
 	// for a launch fail back to the client exactly like the doomed
@@ -627,6 +702,7 @@ func (s *resilientSim) kill(w int, t float64) {
 	wk.batchPlanned = math.Inf(1)
 	for _, p := range pend {
 		s.attemptFailed(p.q, t)
+		s.release(p.q)
 	}
 }
 
@@ -643,34 +719,12 @@ func (s *resilientSim) heal(w int) error {
 	return nil
 }
 
-// finish classifies every query (conservation-exact), assembles the
-// per-worker reports, and computes the availability and goodput
-// figures.
+// finish assembles the per-worker reports and computes the availability
+// and goodput figures once every query record has retired.
 func (s *resilientSim) finish(arrivals []float64) (*Report, error) {
 	f, rep := s.f, s.rep
-	deadline := f.cfg.Deadline
-	for _, q := range s.queries {
-		if q.resolved {
-			continue // already counted as Shed or Drops
-		}
-		if math.IsInf(q.bestDone, 1) {
-			rep.TimedOut++
-			continue
-		}
-		rep.Served++
-		f.workers[q.winner].served++
-		l := q.bestDone - q.at
-		if q.winnerDeg {
-			s.degLat.Add(l)
-		} else {
-			s.lat.Add(l)
-		}
-		if deadline == 0 || l <= deadline {
-			s.good++
-		}
-		if q.bestDone > s.maxDone {
-			s.maxDone = q.bestDone
-		}
+	if s.live != 0 {
+		return nil, fmt.Errorf("serve: %d query records still live after the event loop drained", s.live)
 	}
 	rep.Duration = s.maxDone
 	if rep.Duration > 0 {

@@ -161,25 +161,12 @@ func (r *router) telemScore(w, nkeys int, now float64) float64 {
 	return sum * float64(nkeys) / float64(len(snap.rates))
 }
 
-// pick selects the replica for a request arriving at time now and
-// records the routing decision in the views. keys is the request's
-// embedding IDs in the router's composite (table, id) key space,
-// occurrence-ordered. This is the fast-path entry; the resilient
-// simulator calls choose/note separately so it can run the admission
-// decision between them.
-func (r *router) pick(keys []int64, workers []*worker, now float64) int {
-	w := r.choose(keys, workers, now, nil)
-	r.note(w, keys)
-	return w
-}
-
-// choose selects a replica without recording it: down replicas are
+// choose selects the replica for a request arriving at time now without
+// recording it. keys is the request's embedding IDs in the router's
+// composite (table, id) key space, occurrence-ordered. Down replicas are
 // never eligible, nor is any index in excl (the workers a query already
 // tried — retries and hedges go elsewhere). Returns -1 when no replica
-// is eligible. With no replica down and no exclusions every policy
-// follows the exact pre-resilience decision sequence (same PRNG draws,
-// same depth probes), which is what keeps zero-fault runs
-// diff-identical.
+// is eligible.
 func (r *router) choose(keys []int64, workers []*worker, now float64, excl []int) int {
 	eligible := func(i int) bool {
 		if workers[i].down {
@@ -271,8 +258,10 @@ func (r *router) choose(keys []int64, workers []*worker, now float64, excl []int
 	return 0
 }
 
-// note records keys as routed to worker w in the router's cache views
-// (no-op without views or for w < 0).
+// note records keys as admitted to worker w in the router's cache views
+// (no-op without views or for w < 0). Only admitted queries are noted: a
+// dropped query never loads its rows, so noting it would tell the router
+// the replica holds rows it does not.
 func (r *router) note(w int, keys []int64) {
 	if w >= 0 && r.views != nil {
 		r.views[w].insert(keys)

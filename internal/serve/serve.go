@@ -92,8 +92,9 @@ type Options struct {
 	Admission AdmissionSpec
 	// Batch enables replica-side request batching (-serve-batch): each
 	// worker services up to Batch.Cap queued queries as one
-	// deduplicated batch (batch.go). The zero spec (or Cap <= 1) keeps
-	// the per-query paths byte-identical to the pre-batching simulator.
+	// deduplicated batch (batch.go). The zero spec (or Cap <= 1)
+	// services every query alone, byte-identical to the pre-batching
+	// simulator.
 	Batch BatchSpec
 }
 
@@ -108,8 +109,8 @@ const (
 func (o Options) Active() bool { return o.Replicas > 0 }
 
 // Resilient reports whether any failure-model or client-resilience knob
-// is engaged. When false, Simulate runs the exact pre-resilience fast
-// path, so zero-fault runs stay diff-identical to it.
+// is engaged. It selects which report lines the CLI prints, never how
+// Simulate runs.
 func (o Options) Resilient() bool {
 	return o.Faults.Active() || o.Deadline > 0 || o.Retry.Active() ||
 		o.Hedge > 0 || o.Admission.Active()
@@ -288,7 +289,7 @@ type worker struct {
 	hits, misses  int64
 	peakDepth     int
 
-	// Batching state (batched event path only; empty otherwise).
+	// Batching state (batching only; empty otherwise).
 	// pending holds queries routed here but not yet launched in a
 	// batch; batchPlanned is the earliest scheduled batch-launch event
 	// (+Inf when none is outstanding); the counters feed the report.
@@ -304,7 +305,7 @@ type worker struct {
 	telem   []float64
 	lastPub float64
 
-	// Failure-model state (resilient path only; all zero otherwise).
+	// Failure-model state (all zero without faults or admission).
 	// downs is the merged, ascending schedule of this replica's down
 	// intervals; cpuBusyUntil models the host CPU as a second server
 	// for degraded-mode queries; doomed holds the in-flight attempts
@@ -363,9 +364,8 @@ func (w *worker) residentRows() int {
 }
 
 // depth returns the queue depth (in-service request included) at time
-// t. Queries waiting in an unlaunched batch count too — pending is
-// always empty outside the batched path, so the pre-batching paths see
-// the exact depth they always did.
+// t. Queries waiting in an unlaunched batch count too (pending is always
+// empty without batching).
 func (w *worker) depth(t float64) int {
 	for w.head < len(w.comp) && w.comp[w.head] <= t {
 		w.head++
@@ -383,8 +383,6 @@ type Fleet struct {
 	workers []*worker
 	router  *router
 	reqRng  *rand.Rand
-	reqIDs  [][]int64
-	reqKeys []int64
 	slots   int
 	shards  int
 }
@@ -413,11 +411,6 @@ func NewFleet(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, slots: slots, shards: shards,
 		reqRng: rand.New(rand.NewSource(cfg.Seed + 8000))}
-	f.reqIDs = make([][]int64, cfg.NumTables)
-	for t := range f.reqIDs {
-		f.reqIDs[t] = make([]int64, cfg.Lookups)
-	}
-	f.reqKeys = make([]int64, 0, cfg.NumTables*cfg.Lookups)
 	for w := 0; w < cfg.Replicas; w++ {
 		wk := &worker{id: w, node: w % nodes, batchPlanned: math.Inf(1)}
 		if cfg.Topology != nil {
@@ -633,124 +626,17 @@ func Run(cfg Config) (*Report, error) {
 	return f.Simulate(times)
 }
 
-// Simulate plays an ascending arrival-time vector through the fleet and
-// returns the report. Exposed separately from Run so tests can inject
-// hand-built arrival vectors. When any failure-model or resilience knob
-// is engaged (Options.Resilient), or request batching is on (a batch
-// launch is a future event, so the closed form cannot price it), the
-// event-driven simulator in failure.go runs instead; otherwise this is
-// the exact pre-resilience hot loop, so zero-fault unbatched runs are
-// bit-identical to it.
-func (f *Fleet) Simulate(arrivals []float64) (*Report, error) {
-	if f.cfg.Resilient() || f.cfg.Batch.Enabled() {
-		return f.simulateResilient(arrivals)
-	}
-	var lat metrics.Series
-	rep := &Report{
-		Router:   Policy(f.cfg.Router),
-		Replicas: f.cfg.Replicas,
-		Offered:  int64(len(arrivals)),
-	}
-	var maxDone float64
-	totalIDs := f.cfg.NumTables * f.cfg.Lookups
-	for _, at := range arrivals {
-		f.nextRequest()
-		w := f.router.pick(f.reqKeys, f.workers, at)
-		wk := f.workers[w]
-		if wk.depth(at) >= f.cfg.QueueCap {
-			wk.drops++
-			rep.Drops++
-			continue
-		}
-		// Frontend-to-worker hop: queries routed off node 0 pay the
-		// crossed link both ways (IDs up, score back).
-		var linkUp, linkDown float64
-		if f.cfg.Topology != nil && wk.node != 0 {
-			link := f.cfg.Topology.Link(0, wk.node)
-			linkUp = link.TransferTime(idBytes(totalIDs))
-			linkDown = link.TransferTime(respBytes)
-			rep.CrossNode++
-			if wk.host != f.cfg.Topology.Nodes[0].Host {
-				rep.CrossHost++
-			}
-			rep.LinkTime += linkUp + linkDown
-		}
-		fills, evicts, coord, err := wk.plan(f.reqIDs)
-		if err != nil {
-			return nil, err
-		}
-		f.maybePublish(wk, at)
-		svc := f.ServiceTime(fills, totalIDs, coord)
-		enq := at + linkUp
-		start := enq
-		if wk.busyUntil > start {
-			start = wk.busyUntil
-		}
-		done := start + svc
-		wk.busyUntil = done
-		wk.comp = append(wk.comp, done)
-		if d := len(wk.comp) - wk.head; d > wk.peakDepth {
-			wk.peakDepth = d
-		}
-		wk.served++
-		rep.Served++
-		rep.Fills += int64(fills)
-		rep.Evictions += int64(evicts)
-		rep.CoordTime += coord
-		lat.Add(done + linkDown - at)
-		if done+linkDown > maxDone {
-			maxDone = done + linkDown
-		}
-	}
-	for _, wk := range f.workers {
-		var h, m int64
-		for _, mgr := range wk.mgrs {
-			st := mgr.Stats()
-			h += st.Hits
-			m += st.Misses
-			cs := mgr.CoordStats()
-			rep.CoordRounds += cs.Messages
-			rep.CoordWallTime += cs.WallSeconds + cs.WallHiddenSeconds
-		}
-		wk.hits, wk.misses = h, m
-		rep.Hits += h
-		rep.Misses += m
-		rep.Workers = append(rep.Workers, WorkerReport{
-			Node: wk.node, Host: wk.host,
-			Served: wk.served, Drops: wk.drops,
-			Hits: wk.hits, Misses: wk.misses,
-			PeakDepth: wk.peakDepth,
-		})
-	}
-	rep.Duration = maxDone
-	if rep.Duration > 0 {
-		rep.Throughput = float64(rep.Served) / rep.Duration
-	}
-	if n := len(arrivals); n > 0 && arrivals[n-1] > 0 {
-		rep.OfferedRate = float64(rep.Offered) / arrivals[n-1]
-	}
-	rep.Latency = lat.Summarize()
-	// No failure model engaged: the fleet was fully available and every
-	// served query counts as goodput.
-	rep.Availability = 1
-	rep.Goodput = rep.Throughput
-	if err := rep.checkConservation(); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// nextRequest draws one query's per-table ID lists into the reusable
-// request buffers and rebuilds the router's composite key list.
-func (f *Fleet) nextRequest() {
-	f.reqKeys = f.reqKeys[:0]
+// nextRequest draws one query's per-table ID lists and the router's
+// composite key list straight into q's pooled buffers.
+func (f *Fleet) nextRequest(q *query) {
+	q.keys = q.keys[:0]
 	nt := int64(f.cfg.NumTables)
-	for t := range f.reqIDs {
+	for t, ids := range q.ids {
 		dist := f.cfg.Dists[t]
-		for l := range f.reqIDs[t] {
+		for l := range ids {
 			id := dist.Sample(f.reqRng)
-			f.reqIDs[t][l] = id
-			f.reqKeys = append(f.reqKeys, id*nt+int64(t))
+			ids[l] = id
+			q.keys = append(q.keys, id*nt+int64(t))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -191,6 +192,38 @@ func TestOverloadDrops(t *testing.T) {
 	}
 }
 
+// TestDroppedQueryNeverEntersView: the hit-aware router learns a
+// query's keys only once the chosen replica admits it. One replica with
+// a queue cap of 1 and a view large enough to hold every key takes N
+// simultaneous arrivals: the first is admitted, the rest drop, so the
+// view may hold at most one query's keys. A view noted before the
+// drop check would claim rows the replica never loaded.
+func TestDroppedQueryNeverEntersView(t *testing.T) {
+	const n = 50
+	cfg := testConfig(PolicyHitAware, trace.Random)
+	cfg.Replicas = 1
+	cfg.QueueCap = 1
+	cfg.CacheFrac = 1
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perQuery := cfg.NumTables * cfg.Lookups
+	if f.router.views[0].cap < n*perQuery {
+		t.Fatalf("view cap %d cannot hold %d queries' keys", f.router.views[0].cap, n)
+	}
+	rep, err := f.Simulate(make([]float64, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Served != 1 || rep.Drops != n-1 {
+		t.Fatalf("served %d drops %d, want 1/%d", rep.Served, rep.Drops, n-1)
+	}
+	if got := len(f.router.views[0].set); got > perQuery {
+		t.Errorf("view holds %d keys, want at most one query's %d: dropped queries entered the view", got, perQuery)
+	}
+}
+
 // TestCrossHostRouting: on cluster2x2 with four replicas, three live off
 // the frontend node and one off the frontend host pair, so cross-node
 // traffic and link time must both be charged.
@@ -273,5 +306,53 @@ func TestOptionsValidation(t *testing.T) {
 	cfg.Dists = cfg.Dists[:2]
 	if _, err := NewFleet(cfg); err == nil {
 		t.Error("mismatched Dists length accepted")
+	}
+}
+
+// simulateAllocs builds a fleet for cfg and counts the heap allocations
+// of one Simulate over n generated arrivals (fleet construction and the
+// arrival vector excluded).
+func simulateAllocs(t *testing.T, cfg Config, n int) uint64 {
+	t.Helper()
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := f.cfg.Arrival.Times(n, f.cfg.Seed+8200)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := f.Simulate(times); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSimulateStreamsQueries pins the streaming property of the event
+// loop: query records are pooled and retire as they settle, so doubling
+// the query count may add only O(1) allocations, never a per-query cost.
+// Covered on an unbatched zero-fault config and on a batch-8 flash crowd
+// that drops queries. The bounded growth that remains is slice growth in
+// the latency digest and the scratchpads' Plan buffers, which grow to the
+// largest batch seen; n is long enough for the flash crowd to have
+// reached full-size batches in both runs.
+func TestSimulateStreamsQueries(t *testing.T) {
+	const n = 8000
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"unbatched", testConfig(PolicyHitAware, trace.High)},
+		{"flash-batch8", batchTestConfig(PolicyTelemetry, BatchSpec{Cap: 8})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			one := simulateAllocs(t, tc.cfg, n)
+			two := simulateAllocs(t, tc.cfg, 2*n)
+			if two > one && two-one >= n/50 {
+				t.Errorf("Simulate allocs: %d for %d queries, %d for %d — %d extra, want < %d",
+					one, n, two, 2*n, two-one, n/50)
+			}
+		})
 	}
 }
